@@ -17,6 +17,8 @@ with numpy over whole arrival waves:
 4. admitted requests are materialized from a freelist pool and pushed
    into their serving queues in delivery order by the dispatcher tick
    itself — one DES event per batching window, not one per request.
+   A min-heap keyed on each wave's next delivery hands the tick only
+   the waves with something due, so an idle wave costs nothing.
 
 **Bit-exactness.**  The engine reproduces the scalar path's results
 exactly (served set, drop reasons, metrics) on any workload the
@@ -39,6 +41,8 @@ counters, histograms, spans of served requests, and every
 
 from __future__ import annotations
 
+import bisect
+import heapq
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -64,19 +68,26 @@ class TaskWave:
     #: indices into ``arrivals`` the token bucket admitted
     admitted_idx: np.ndarray
     #: uplink delivery instant per admitted request (slice FIFO)
-    deliveries: np.ndarray
+    deliveries: list[float]
     #: deadline per admitted request (``created + L_τ``)
-    deadlines: np.ndarray
+    deadlines: list[float]
     bits: float
     #: next admitted request not yet pushed into the serving queue
     cursor: int = 0
     #: delivery instant of ``cursor`` as a plain float (``inf`` when
-    #: exhausted) — lets an idle tick skip the wave on one compare
+    #: exhausted) — the wave's key in the plan's due-wave heap
     next_delivery: float = float("inf")
+    # id and creation instant per admitted request: like ``deliveries``
+    # and ``deadlines``, Python lists, so the push loop reads plain
+    # ints/floats instead of boxing numpy scalars one request at a time
+    _ids: list[int] = field(init=False, repr=False)
+    _created: list[float] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.deliveries):
-            self.next_delivery = float(self.deliveries[0])
+        self._ids = self.ids[self.admitted_idx].tolist()
+        self._created = self.arrivals[self.admitted_idx].tolist()
+        if self.deliveries:
+            self.next_delivery = self.deliveries[0]
 
     @property
     def offered(self) -> int:
@@ -134,6 +145,17 @@ class WavePlan:
     total_admitted: int = 0
     #: every dispatcher tick instant fired so far (tie-break record)
     tick_times: list[float] = field(default_factory=list)
+    #: min-heap of ``(next_delivery, wave position)`` over the waves
+    #: with requests left to push
+    _due: list[tuple[float, int]] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._due = [
+            (wave.next_delivery, pos)
+            for pos, wave in enumerate(self.tasks)
+            if wave.cursor < len(wave.deliveries)
+        ]
+        heapq.heapify(self._due)
 
     @classmethod
     def build(
@@ -180,14 +202,15 @@ class WavePlan:
             airtime = cell.transmission_duration(
                 task.task_id, path.bits_per_image, now=0.0
             )
+            deliveries = waves.fifo_deliveries(admitted_arrivals, airtime)
             wave = TaskWave(
                 task_id=task.task_id,
                 path=path,
                 arrivals=arrivals,
                 ids=ids,
                 admitted_idx=admitted_idx,
-                deliveries=waves.fifo_deliveries(admitted_arrivals, airtime),
-                deadlines=admitted_arrivals + task.max_latency_s,
+                deliveries=deliveries.tolist(),
+                deadlines=(admitted_arrivals + task.max_latency_s).tolist(),
                 bits=path.bits_per_image,
             )
             task_waves.append(wave)
@@ -220,44 +243,50 @@ class WavePlan:
         (:meth:`TaskWave.arrives_before_tick`).  ``push`` runs the
         runtime's queue-insert (backpressure, tracing); ``collect``
         files the record for metrics.
+
+        Only waves with a delivery due are touched: the due-wave heap
+        yields them, and they are handled in wave-position order — the
+        order a full scan would visit them — so queue-full victims and
+        trace events come out exactly as before.
         """
-        for wave in self.tasks:
-            # the common tick has nothing due on most waves: one float
-            # compare, no numpy, no method calls
-            if wave.next_delivery > now:
-                continue
-            n = len(wave.deliveries)
+        heap = self._due
+        if not heap or heap[0][0] > now:
+            return
+        positions = []
+        while heap and heap[0][0] <= now:
+            positions.append(heapq.heappop(heap)[1])
+        positions.sort()
+        acquire = pool.acquire
+        for pos in positions:
+            wave = self.tasks[pos]
+            deliveries = wave.deliveries
+            n = len(deliveries)
+            start = wave.cursor
             # everything strictly before the tick is due...
-            due = int(
-                np.searchsorted(wave.deliveries, now, side="left") - wave.cursor
-            )
+            end = bisect.bisect_left(deliveries, now, start)
             # ...plus on-tick deliveries that win the scalar tie-break
             while (
-                wave.cursor + due < n
-                and wave.deliveries[wave.cursor + due] == now
-                and wave.arrives_before_tick(wave.cursor + due, self.tick_times)
+                end < n
+                and deliveries[end] == now
+                and wave.arrives_before_tick(end, self.tick_times)
             ):
-                due += 1
-            for _ in range(due):
-                i = wave.cursor
-                arrival_index = int(wave.admitted_idx[i])
-                request = pool.acquire(
-                    task_id=wave.task_id,
-                    request_id=int(wave.ids[arrival_index]),
-                    path=wave.path,
-                    created_at=float(wave.arrivals[arrival_index]),
-                    deadline_at=float(wave.deadlines[i]),
-                    bits=wave.bits,
+                end += 1
+            task_id, path, bits = wave.task_id, wave.path, wave.bits
+            ids, created, deadlines = wave._ids, wave._created, wave.deadlines
+            for i in range(start, end):
+                request = acquire(
+                    task_id, ids[i], path, created[i], deadlines[i], bits
                 )
-                request.uplink_done_at = float(wave.deliveries[i])
-                wave.cursor = i + 1
-                collect(wave.task_id, request)
+                request.uplink_done_at = deliveries[i]
+                collect(task_id, request)
                 push(request)
-            wave.next_delivery = (
-                float(wave.deliveries[wave.cursor])
-                if wave.cursor < n
-                else float("inf")
-            )
+            wave.cursor = end
+            if end < n:
+                # a wave that lost the on-tick tie-break keeps its key
+                wave.next_delivery = deliveries[end]
+                heapq.heappush(heap, (wave.next_delivery, pos))
+            else:
+                wave.next_delivery = float("inf")
 
     def emit_shed_traces(self, tracer) -> None:
         """Replay admission-shed drop events into an enabled tracer.

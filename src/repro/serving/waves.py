@@ -81,11 +81,14 @@ def arrival_times(
     expected = rate * duration_s
     chunk = max(16, int(expected + 6.0 * np.sqrt(expected) + 16))
     gaps = rng.exponential(scale, size=chunk)
-    while float(np.sum(gaps)) <= duration_s:
-        gaps = np.concatenate((gaps, rng.exponential(scale, size=chunk)))
     # cumsum over the full gap array: sequential accumulation, so the
-    # rounding matches the scalar chain even across extension chunks
+    # rounding matches the scalar chain even across extension chunks.
+    # The horizon test reads that same sequential sum; np.sum pairs its
+    # terms and can round past the horizon while the chain has not.
     times = np.cumsum(gaps)
+    while times[-1] <= duration_s:
+        gaps = np.concatenate((gaps, rng.exponential(scale, size=chunk)))
+        times = np.cumsum(gaps)
     times = times[times <= duration_s]
     return np.concatenate(([0.0], times))
 

@@ -55,6 +55,40 @@ def test_poisson_arrivals_match_scalar_draws(rate, seed):
     assert vec.tolist() == ref.tolist()
 
 
+class _ScriptedGaps:
+    """A stand-in generator serving scripted gap blocks.
+
+    A bulk draw returns the next whole block whatever ``size`` asks for;
+    scalar draws walk the same blocks one gap at a time, so both paths
+    see one gap stream.  The blocks end in a 0.3 s gap forever.
+    """
+
+    def __init__(self, blocks):
+        self.blocks = [list(b) for b in blocks]
+        self.pending: list[float] = []
+
+    def _next_block(self):
+        return self.blocks.pop(0) if self.blocks else [0.3] * 16
+
+    def exponential(self, scale, size=None):
+        if size is not None:
+            return np.asarray(self._next_block())
+        if not self.pending:
+            self.pending = self._next_block()
+        return self.pending.pop(0)
+
+
+def test_poisson_horizon_follows_the_sequential_sum():
+    # 1.0 + 1e-16 rounds back to 1.0 at every sequential step, so the
+    # chain stays on the horizon for 31 gaps; a pairwise sum of the
+    # first block rounds past 1.0 and would stop the wave after 16
+    blocks = [[1.0] + [1e-16] * 15, [1e-16] * 16]
+    vec = arrival_times(16.0, 1.0, poisson=True, rng=_ScriptedGaps(blocks))
+    ref = _scalar_arrivals(16.0, 1.0, True, _ScriptedGaps(blocks))
+    assert len(ref) == 33
+    assert vec.tolist() == ref.tolist()
+
+
 def test_arrivals_always_include_time_zero():
     assert arrival_times(0.01, 1.0, False, np.random.default_rng(0)).tolist() == [0.0]
 
